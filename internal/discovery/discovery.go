@@ -524,8 +524,8 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 
 	// Sessions also reuse the filter decomposition across rounds: the Set
 	// depends only on the candidate list (which refinement deltas usually
-	// leave unchanged), it is read-only during scheduling, and building its
-	// dependency relation is quadratic in the number of filters — the
+	// leave unchanged) and is read-only during scheduling. Enumerating every
+	// candidate's subtrees and building the dependency relation is the
 	// dominant fixed cost of a fully cached round.
 	spDecompose := trace.Child("decompose")
 	var set *filter.Set
@@ -696,15 +696,25 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 		spAssemble.SetAttr("mappings", len(report.Mappings))
 		spAssemble.End()
 	}()
-	confirmed := append([]int(nil), res.Confirmed...)
-	slices.SortFunc(confirmed, func(i, j int) int {
-		a, b := set.Candidates[i], set.Candidates[j]
-		if c := a.Tree.Size() - b.Tree.Size(); c != 0 {
+	// The sort key is computed once per candidate: Canonical() builds a
+	// string, and a comparator calling it would rebuild two per comparison.
+	type assemblyKey struct {
+		ci, size  int
+		canonical string
+	}
+	confirmed := make([]assemblyKey, len(res.Confirmed))
+	for k, ci := range res.Confirmed {
+		c := set.Candidates[ci]
+		confirmed[k] = assemblyKey{ci: ci, size: c.Tree.Size(), canonical: c.Canonical()}
+	}
+	slices.SortFunc(confirmed, func(a, b assemblyKey) int {
+		if c := a.size - b.size; c != 0 {
 			return c
 		}
-		return strings.Compare(a.Canonical(), b.Canonical())
+		return strings.Compare(a.canonical, b.canonical)
 	})
-	for _, ci := range confirmed {
+	for _, key := range confirmed {
+		ci := key.ci
 		if opts.MaxResults > 0 && len(report.Mappings) >= opts.MaxResults {
 			break
 		}

@@ -36,9 +36,9 @@ type Session struct {
 
 	// sets caches filter decompositions by candidate-list fingerprint.
 	// A filter.Set depends only on the candidates (not on constraint
-	// values or data), is immutable once built, and costs quadratic work
-	// in the number of filters — so warm rounds, which usually enumerate
-	// the identical candidate list, skip the rebuild entirely. setOrder
+	// values or data), is immutable once built, and is the largest fixed
+	// cost of a round — so warm rounds, which usually enumerate the
+	// identical candidate list, skip the rebuild entirely. setOrder
 	// tracks insertion for FIFO eviction at setCacheCapacity.
 	setMu    sync.Mutex
 	sets     map[string]*filter.Set

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -147,13 +148,18 @@ func (f *Filter) String() string {
 	return fmt.Sprintf("filter[%s | %s]", f.Tree, strings.Join(cols, ", "))
 }
 
-func filterKey(tree graphx.Tree, targetCols []int, sources []schema.ColumnRef) string {
-	parts := make([]string, 0, len(targetCols)+1)
-	parts = append(parts, tree.Canonical())
+// filterKey is the canonical tree signature followed by one
+// "#col:source" part per covered target column, source lower-cased.
+func filterKey(canonical string, targetCols []int, sources []schema.ColumnRef) string {
+	var b strings.Builder
+	b.WriteString(canonical)
 	for i, tc := range targetCols {
-		parts = append(parts, fmt.Sprintf("%d:%s", tc, strings.ToLower(sources[i].String())))
+		b.WriteByte('#')
+		b.WriteString(strconv.Itoa(tc))
+		b.WriteByte(':')
+		b.WriteString(strings.ToLower(sources[i].String()))
 	}
-	return strings.Join(parts, "#")
+	return b.String()
 }
 
 // Set is the filter decomposition of a batch of candidate queries, with the
@@ -198,9 +204,10 @@ func Decompose(candidates []graphx.Candidate) *Set {
 	return s
 }
 
-// DecomposeContext is Decompose under a context. The dependency relation is
-// quadratic in the number of filters — tens of seconds on wide candidate
-// sets — so cancellation is checked throughout and aborts with ctx.Err().
+// DecomposeContext is Decompose under a context. Wide candidate sets
+// decompose into thousands of filters, and the dependency relation ANDs
+// one filter-indexed bitmap per element of every filter, so cancellation
+// is checked throughout and aborts with ctx.Err().
 func DecomposeContext(ctx context.Context, candidates []graphx.Candidate) (*Set, error) {
 	s := &Set{
 		Candidates:       candidates,
@@ -213,17 +220,33 @@ func DecomposeContext(ctx context.Context, candidates []graphx.Candidate) (*Set,
 	// candidates; iterating it recovers each candidate's filter list in
 	// ascending order without a per-candidate map + sort.
 	candFilterSet := rowset.New(0)
+	// Most subtrees repeat a filter minted by an earlier candidate, so the
+	// covered columns are gathered in scratch slices and copied out only
+	// for a new filter.
+	var targetCols []int
+	var sources []schema.ColumnRef
+	// Candidates share a few join trees and differ in their projections
+	// (the 1,888 metadata-grid candidates over default Mondial use 48
+	// trees), so each distinct tree's subtrees are enumerated once. The key
+	// is the raw tree, spelling and order included: both shape the order
+	// and spelling of the subtrees, and so the filter indexes.
+	subtreesOf := make(map[string][]subtree)
 	for ci, cand := range candidates {
 		if ci%64 == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		subtrees := enumerateSubtrees(cand.Tree)
+		treeKey := rawTreeKey(cand.Tree)
+		subtrees, ok := subtreesOf[treeKey]
+		if !ok {
+			subtrees = enumerateSubtrees(cand.Tree)
+			subtreesOf[treeKey] = subtrees
+		}
 		// Size the bitset for the worst case: every subtree mints a new
 		// filter.
 		candFilterSet.Reset(len(s.Filters) + len(subtrees))
-		for _, sub := range subtrees {
-			var targetCols []int
-			var sources []schema.ColumnRef
+		for _, st := range subtrees {
+			sub := st.tree
+			targetCols, sources = targetCols[:0], sources[:0]
 			for tc, src := range cand.Projection {
 				if sub.Contains(src.Table) {
 					targetCols = append(targetCols, tc)
@@ -233,7 +256,7 @@ func DecomposeContext(ctx context.Context, candidates []graphx.Candidate) (*Set,
 			if len(targetCols) == 0 {
 				continue
 			}
-			key := filterKey(sub, targetCols, sources)
+			key := filterKey(st.canonical, targetCols, sources)
 			fi, ok := index[key]
 			if !ok {
 				fi = len(s.Filters)
@@ -241,8 +264,8 @@ func DecomposeContext(ctx context.Context, candidates []graphx.Candidate) (*Set,
 				s.Filters = append(s.Filters, &Filter{
 					Key:        key,
 					Tree:       sub,
-					TargetCols: targetCols,
-					Sources:    sources,
+					TargetCols: slices.Clone(targetCols),
+					Sources:    slices.Clone(sources),
 				})
 			}
 			candFilterSet.Add(int32(fi))
@@ -266,68 +289,158 @@ func DecomposeContext(ctx context.Context, candidates []graphx.Candidate) (*Set,
 		}
 	}
 
-	// Dependency relation: i ≺ j (i is a sub-filter of j) iff i's tables,
-	// edges and covered column mapping are all subsets of j's. The relation
-	// is quadratic in the number of filters, so the per-filter shape data
-	// (sorted edge keys, covered-column mapping) is precomputed once here
-	// instead of per pair inside isSubFilter.
-	shapes := make([]filterShape, len(s.Filters))
-	for i, f := range s.Filters {
-		shapes[i] = newFilterShape(f)
-	}
-	s.parents = make([][]int, len(s.Filters))
-	s.children = make([][]int, len(s.Filters))
-	for i := range s.Filters {
-		if i%16 == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		for j := range s.Filters {
-			if i == j {
-				continue
-			}
-			if shapes[i].subsetOf(&shapes[j], s.Filters[i], s.Filters[j]) {
-				s.parents[i] = append(s.parents[i], j)
-				s.children[j] = append(s.children[j], i)
-			}
-		}
+	if err := s.relate(ctx); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// isSubFilter reports whether a is contained in b. It is the one-shot form
-// of filterShape.subsetOf; Decompose precomputes shapes instead of calling
-// this in its quadratic loop.
-func isSubFilter(a, b *Filter) bool {
-	sa, sb := newFilterShape(a), newFilterShape(b)
-	return sa.subsetOf(&sb, a, b)
-}
-
-// filterShape is the precomputed containment-check data of one filter:
-// sorted canonical edge keys and the covered target-column → lower-cased
-// source mapping.
-type filterShape struct {
-	edgeKeys []string // sorted
-	colSrc   map[int]string
-}
-
-func newFilterShape(f *Filter) filterShape {
-	sh := filterShape{colSrc: make(map[int]string, len(f.TargetCols))}
-	if len(f.Tree.Edges) > 0 {
-		sh.edgeKeys = make([]string, len(f.Tree.Edges))
-		for i, e := range f.Tree.Edges {
-			sh.edgeKeys[i] = edgeKey(e)
+// relate builds the dependency relation: i ≺ j (i is a sub-filter of j) iff
+// i's tables, edges and covered column mapping are all subsets of j's.
+// Every filter is reduced to the interned IDs of those elements, and each
+// element keeps a posting bitmap of the filters holding it. The
+// super-filters of i are then the AND of its elements' postings, minus i —
+// a word-wise pass per element instead of a string comparison per filter
+// pair. Iterating the result in ascending order gives Parents(i), and
+// appending i to its parents' lists in ascending i gives Children(j), both
+// in index order.
+func (s *Set) relate(ctx context.Context) error {
+	n := len(s.Filters)
+	elems, numElems := internElements(s.Filters)
+	postings := make([]*rowset.Bitmap, numElems)
+	for e := range postings {
+		postings[e] = rowset.New(n)
+	}
+	for i, ids := range elems {
+		for _, e := range ids {
+			postings[e].Add(int32(i))
 		}
-		slices.Sort(sh.edgeKeys)
 	}
-	for i, tc := range f.TargetCols {
-		sh.colSrc[tc] = strings.ToLower(f.Sources[i].String())
+
+	// parentOff[i]:parentOff[i+1] delimits filter i's parents in one shared
+	// backing array; the children lists share a second one.
+	var flat []int
+	parentOff := make([]int, n+1)
+	childCount := make([]int, n)
+	supers := rowset.New(n)
+	var buf []int32
+	for i, ids := range elems {
+		if i%16 == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		supers.Reset(n)
+		supers.Or(postings[ids[0]])
+		for _, e := range ids[1:] {
+			supers.And(postings[e])
+		}
+		supers.Remove(int32(i))
+		a := s.Filters[i]
+		buf = supers.AppendTo(buf[:0])
+		for _, j := range buf {
+			// Distinct tables and target columns make these implied by the
+			// element subset; they are kept so that the relation matches
+			// isSubFilter on any input.
+			b := s.Filters[j]
+			if a.Tree.Size() > b.Tree.Size() || len(a.TargetCols) > len(b.TargetCols) {
+				continue
+			}
+			flat = append(flat, int(j))
+			childCount[j]++
+		}
+		parentOff[i+1] = len(flat)
 	}
-	return sh
+
+	childFlat := make([]int, len(flat))
+	childOff := make([]int, n+1)
+	for j, c := range childCount {
+		childOff[j+1] = childOff[j] + c
+	}
+	s.parents = make([][]int, n)
+	s.children = make([][]int, n)
+	for j := range s.children {
+		lo := childOff[j]
+		s.children[j] = childFlat[lo:lo:childOff[j+1]]
+	}
+	for i := range s.parents {
+		ps := flat[parentOff[i]:parentOff[i+1]:parentOff[i+1]]
+		s.parents[i] = ps
+		for _, j := range ps {
+			s.children[j] = append(s.children[j], i)
+		}
+	}
+	return nil
 }
 
-// subsetOf reports whether filter a (with shape sa) is contained in b: a's
-// tables, edges and covered column mapping are all subsets of b's.
-func (sa *filterShape) subsetOf(sb *filterShape, a, b *Filter) bool {
+// internElements maps every filter to the dense IDs of its containment
+// elements: lower-cased tables, canonical edge keys and (target column,
+// lower-cased source) pairs, all in one ID space. Raw (case-preserving)
+// names are memoised in front of the canonical maps, so each distinct name
+// is lower-cased and keyed once rather than once per filter.
+func internElements(filters []*Filter) (elems [][]int32, numElems int) {
+	type colKey struct {
+		tc  int
+		src string
+	}
+	type rawColKey struct {
+		tc  int
+		src schema.ColumnRef
+	}
+	var next int32
+	tableIDs := make(map[string]int32)
+	edgeIDs := make(map[string]int32)
+	colIDs := make(map[colKey]int32)
+	tables := make(map[string]int32)
+	edges := make(map[schema.ForeignKey]int32)
+	cols := make(map[rawColKey]int32)
+
+	elems = make([][]int32, len(filters))
+	for i, f := range filters {
+		out := make([]int32, 0, len(f.Tree.Tables)+len(f.Tree.Edges)+len(f.TargetCols))
+		for _, t := range f.Tree.Tables {
+			e, ok := tables[t]
+			if !ok {
+				e = intern(tableIDs, strings.ToLower(t), &next)
+				tables[t] = e
+			}
+			out = append(out, e)
+		}
+		for _, fk := range f.Tree.Edges {
+			e, ok := edges[fk]
+			if !ok {
+				e = intern(edgeIDs, edgeKey(fk), &next)
+				edges[fk] = e
+			}
+			out = append(out, e)
+		}
+		for k, tc := range f.TargetCols {
+			raw := rawColKey{tc, f.Sources[k]}
+			e, ok := cols[raw]
+			if !ok {
+				e = intern(colIDs, colKey{tc, strings.ToLower(f.Sources[k].String())}, &next)
+				cols[raw] = e
+			}
+			out = append(out, e)
+		}
+		elems[i] = out
+	}
+	return elems, int(next)
+}
+
+// intern returns key's ID in m, assigning the next free ID on first sight.
+func intern[K comparable](m map[K]int32, key K, next *int32) int32 {
+	id, ok := m[key]
+	if !ok {
+		id = *next
+		*next++
+		m[key] = id
+	}
+	return id
+}
+
+// isSubFilter reports whether a is contained in b: a's tables, edges and
+// covered column mapping are all subsets of b's. It is the pairwise
+// definition the posting-list relation of DecomposeContext implements.
+func isSubFilter(a, b *Filter) bool {
 	if a.Tree.Size() > b.Tree.Size() || len(a.TargetCols) > len(b.TargetCols) {
 		return false
 	}
@@ -336,18 +449,15 @@ func (sa *filterShape) subsetOf(sb *filterShape, a, b *Filter) bool {
 			return false
 		}
 	}
-	// Sorted-merge subset test over the canonical edge keys.
-	j := 0
-	for _, ek := range sa.edgeKeys {
-		for j < len(sb.edgeKeys) && sb.edgeKeys[j] < ek {
-			j++
-		}
-		if j >= len(sb.edgeKeys) || sb.edgeKeys[j] != ek {
+	for _, ea := range a.Tree.Edges {
+		k := edgeKey(ea)
+		if !slices.ContainsFunc(b.Tree.Edges, func(eb schema.ForeignKey) bool { return edgeKey(eb) == k }) {
 			return false
 		}
 	}
-	for tc, src := range sa.colSrc {
-		if sb.colSrc[tc] != src {
+	for i, tc := range a.TargetCols {
+		k := slices.Index(b.TargetCols, tc)
+		if k < 0 || strings.ToLower(a.Sources[i].String()) != strings.ToLower(b.Sources[k].String()) {
 			return false
 		}
 	}
@@ -362,18 +472,44 @@ func edgeKey(e schema.ForeignKey) string {
 	return a + "=" + b
 }
 
+// rawTreeKey identifies a tree by its exact table and edge lists.
+func rawTreeKey(t graphx.Tree) string {
+	var b strings.Builder
+	for _, tb := range t.Tables {
+		b.WriteString(tb)
+		b.WriteByte(0)
+	}
+	for _, e := range t.Edges {
+		for _, part := range [...]string{e.From.Table, e.From.Column, e.To.Table, e.To.Column} {
+			b.WriteByte(1)
+			b.WriteString(part)
+		}
+	}
+	return b.String()
+}
+
+// subtree is a connected subtree of a candidate tree with its canonical
+// signature, computed once during enumeration and reused as the prefix of
+// the filter key.
+type subtree struct {
+	tree      graphx.Tree
+	canonical string
+}
+
 // enumerateSubtrees lists every connected subtree of the candidate tree
 // (including single tables and the full tree).
-func enumerateSubtrees(t graphx.Tree) []graphx.Tree {
+func enumerateSubtrees(t graphx.Tree) []subtree {
 	seen := make(map[string]struct{})
-	var out []graphx.Tree
-	add := func(sub graphx.Tree) {
+	var out []subtree
+	// add records sub and reports whether no equal subtree was seen before.
+	add := func(sub graphx.Tree) bool {
 		key := sub.Canonical()
 		if _, dup := seen[key]; dup {
-			return
+			return false
 		}
 		seen[key] = struct{}{}
-		out = append(out, sub)
+		out = append(out, subtree{tree: sub, canonical: key})
+		return true
 	}
 	// Start from each table and grow along the candidate's own edges.
 	var expand func(sub graphx.Tree)
@@ -396,12 +532,9 @@ func enumerateSubtrees(t graphx.Tree) []graphx.Tree {
 					Tables: append(append([]string(nil), sub.Tables...), other),
 					Edges:  append(append([]schema.ForeignKey(nil), sub.Edges...), e),
 				}
-				key := next.Canonical()
-				if _, dup := seen[key]; dup {
-					continue
+				if add(next) {
+					expand(next)
 				}
-				add(next)
-				expand(next)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"prism/internal/schema"
@@ -316,9 +317,17 @@ func needsQuoting(word string) bool {
 	return strings.ContainsAny(word, "\t\n")
 }
 
+// quoteConst renders a constant so that ParseValueConstraint reads it back
+// as the same value: text is quoted, and decimals are written without an
+// exponent, since the lexer's numbers are digits and dots only and would
+// stop at the "+" of "2.00000005e+07".
 func quoteConst(v value.Value) string {
-	if v.Kind() == value.Text {
+	switch v.Kind() {
+	case value.Text:
 		return "'" + strings.ReplaceAll(v.Text(), "'", "''") + "'"
+	case value.Decimal:
+		f, _ := v.Float()
+		return strconv.FormatFloat(f, 'f', -1, 64)
 	}
 	return v.String()
 }

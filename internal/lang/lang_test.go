@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -560,6 +561,58 @@ func TestValueExprStringsRoundTrip(t *testing.T) {
 		for _, p := range probes {
 			if e.Eval(p) != back.Eval(p) {
 				t.Errorf("round trip of %q changed semantics on %v", in, p)
+			}
+		}
+	}
+}
+
+// Rendering a numeric constraint and parsing it back must give the same
+// Eval at and around its bounds, for integer, decimal and large- or
+// small-magnitude bounds. Decimals used to render with an exponent
+// ("2.00000005e+07"), which the parser rejects.
+func TestNumericBoundsStringRoundTrip(t *testing.T) {
+	bounds := []struct{ lo, hi value.Value }{
+		{value.NewInt(100), value.NewInt(600)},
+		{value.NewInt(-5), value.NewInt(15000000)},
+		{value.NewDecimal(0.5), value.NewDecimal(53.2)},
+		{value.NewDecimal(-2.75), value.NewDecimal(-0.125)},
+		{value.NewInt(15000000), value.NewDecimal(2.00000005e+07)},
+		{value.NewDecimal(1.5e7), value.NewDecimal(3e21)},
+		{value.NewDecimal(1e-7), value.NewDecimal(2.5e-5)},
+		{value.NewDecimal(-1e300), value.NewDecimal(1e300)},
+	}
+	for _, b := range bounds {
+		exprs := []ValueExpr{
+			Range{Lo: b.lo, Hi: b.hi},
+			Compare{Op: OpGe, Const: b.lo},
+			Compare{Op: OpLt, Const: b.hi},
+			Compare{Op: OpEq, Const: b.hi},
+		}
+		var probes []value.Value
+		for _, v := range []value.Value{b.lo, b.hi} {
+			f, _ := v.Float()
+			probes = append(probes, v,
+				value.NewDecimal(f),
+				value.NewDecimal(math.Nextafter(f, math.Inf(-1))),
+				value.NewDecimal(math.Nextafter(f, math.Inf(1))))
+			if math.Abs(f) < 1e18 {
+				probes = append(probes, value.NewInt(int64(f)-1), value.NewInt(int64(f)+1))
+			}
+		}
+		for _, e := range exprs {
+			rendered := e.String()
+			if strings.ContainsAny(rendered, "eE") {
+				t.Errorf("%s renders with an exponent", rendered)
+			}
+			back, err := ParseValueConstraint(rendered)
+			if err != nil {
+				t.Errorf("re-parse of %q failed: %v", rendered, err)
+				continue
+			}
+			for _, p := range probes {
+				if e.Eval(p) != back.Eval(p) {
+					t.Errorf("round trip of %q changed Eval(%v): %v -> %v", rendered, p, e.Eval(p), back.Eval(p))
+				}
 			}
 		}
 	}

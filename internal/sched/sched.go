@@ -194,8 +194,10 @@ type Options struct {
 	// injected for testability.
 	Now func() time.Time
 	// CostModel estimates the execution cost of a filter; the default is
-	// the sum of its base-table sizes. Scores divide by cost, so cheaper
-	// filters are preferred at equal pruning power.
+	// the sum of its base-table sizes. The cost only breaks ties between
+	// filters of equal score, top-membership and reach, preferring the
+	// cheaper one. It must be a pure function of the filter: a run calls it
+	// at most once per filter and reuses the answer for every later tie.
 	CostModel func(f *filter.Filter) float64
 	// MaxValidations bounds the number of validations (0 = unlimited); a
 	// safety valve for experiments. Exact at Parallelism 1; with P workers
@@ -318,7 +320,23 @@ type scoreEntry struct {
 	score float64
 	isTop bool
 	reach int
-	cost  float64
+}
+
+// costMemo serves Options.CostModel through a filter-indexed table filled
+// on first use, so a run asks the model at most once per filter however
+// many picks the filter ties in. Zero marks an entry not yet computed;
+// clampCost keeps computed costs positive.
+type costMemo struct {
+	model   func(*filter.Filter) float64
+	filters []*filter.Filter
+	costs   []float64
+}
+
+func (m *costMemo) cost(i int) float64 {
+	if m.costs[i] == 0 {
+		m.costs[i] = clampCost(m.model(m.filters[i]))
+	}
+	return m.costs[i]
 }
 
 // Run executes validations until every candidate is confirmed or pruned,
@@ -384,6 +402,7 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	for _, ti := range r.Set.Top {
 		isTop[ti] = true
 	}
+	costs := &costMemo{model: opts.CostModel, filters: r.Set.Filters, costs: make([]float64, r.Set.NumFilters())}
 
 	// Batch grouping: the group key is the memoised per-filter plan
 	// fingerprint, and membership is computed once per run — never re-sorted
@@ -645,7 +664,7 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 		}
 		if !stopping {
 			for inFlightCount < parallelism {
-				next, ok := r.pick(sess, failProb, isTop, opts.CostModel, inFlight)
+				next, ok := r.pick(sess, failProb, isTop, costs, inFlight)
 				if !ok {
 					break
 				}
@@ -733,7 +752,7 @@ finish:
 // Only the maximum is needed, so the selection is a single allocation-free
 // argmax pass (this runs once per launched validation; the sort it
 // replaces was a visible slice of the validation-phase profile).
-func (r *Runner) pick(sess *filter.Session, failProb []float64, isTop []bool, costModel func(*filter.Filter) float64, inFlight *rowset.Bitmap) (int, bool) {
+func (r *Runner) pick(sess *filter.Session, failProb []float64, isTop []bool, costs *costMemo, inFlight *rowset.Bitmap) (int, bool) {
 	best := scoreEntry{idx: -1}
 	for i := range r.Set.Filters {
 		if sess.Determined(i) {
@@ -765,10 +784,9 @@ func (r *Runner) pick(sess *filter.Session, failProb []float64, isTop []bool, co
 			isTop: topOfUnresolved,
 			reach: reach,
 		}
-		// Defer the cost model (a callback per filter) until a tie
-		// actually needs it; equal-score ties are common, equal
-		// score+top+reach ties rare.
-		if best.idx < 0 || e.better(&best, r, costModel) {
+		// Costs are consulted only when a tie actually needs them;
+		// equal-score ties are common, equal score+top+reach ties rare.
+		if best.idx < 0 || e.better(&best, costs) {
 			best = e
 		}
 	}
@@ -779,9 +797,9 @@ func (r *Runner) pick(sess *filter.Session, failProb []float64, isTop []bool, co
 }
 
 // better reports whether e precedes best in the pick order. The cost
-// tiebreak is evaluated lazily: costs are computed (and memoised on the
-// entries) only when score, top-membership and reach are all equal.
-func (e *scoreEntry) better(best *scoreEntry, r *Runner, costModel func(*filter.Filter) float64) bool {
+// tiebreak is read from the run's memo only when score, top-membership and
+// reach are all equal.
+func (e *scoreEntry) better(best *scoreEntry, costs *costMemo) bool {
 	if e.score != best.score {
 		return e.score > best.score
 	}
@@ -791,14 +809,8 @@ func (e *scoreEntry) better(best *scoreEntry, r *Runner, costModel func(*filter.
 	if e.reach != best.reach {
 		return e.reach > best.reach
 	}
-	if e.cost == 0 {
-		e.cost = clampCost(costModel(r.Set.Filters[e.idx]))
-	}
-	if best.cost == 0 {
-		best.cost = clampCost(costModel(r.Set.Filters[best.idx]))
-	}
-	if e.cost != best.cost {
-		return e.cost < best.cost
+	if ec, bc := costs.cost(e.idx), costs.cost(best.idx); ec != bc {
+		return ec < bc
 	}
 	return e.idx < best.idx
 }
